@@ -6,8 +6,9 @@ the per-host NIC/stack timing, including F4T's own
 :class:`~repro.fabric.service.F4TService` — attaches them to a
 :class:`~repro.fabric.switch.SwitchFabric`, and drives the scenario's
 communication pattern to completion with an event-driven run loop
-(integer picoseconds; the loop jumps from packet arrival to timer
-deadline to scheduled request arrival).
+(integer picoseconds; the loop jumps from switch event to packet
+arrival to timer deadline to scheduled request arrival), ticking only
+the hosts and pumping only the connections that can change.
 
 Like :class:`~repro.traffic.engine.LoadEngine`, both ends of every
 connection live in this one process, so servers need no protocol
@@ -19,9 +20,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import deque
+from itertools import accumulate
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..net.wire import derive_seed
 from ..sim.stats import Histogram
@@ -29,7 +32,7 @@ from ..tcp.state_machine import TcpState
 from .backend import get_backend
 from .scenarios import FabricScenario
 from .softstack import SoftStack, SoftStackConfig
-from .switch import SwitchFabric
+from .switch import NEVER, SwitchFabric
 
 #: Shared zero payload; transfer content is opaque, only sizes matter.
 _ZEROS = bytes(1 << 16)
@@ -44,17 +47,19 @@ class FabricResult:
     num_hosts: int
     seed: int
     load_scale: float
-    elapsed_s: float
-    finished: bool
-    offered: int
-    completed: int
-    bytes_delivered: int
+    elapsed_s: float = 0.0
+    finished: bool = False
+    offered: int = 0
+    completed: int = 0
+    bytes_delivered: int = 0
     latencies: Histogram = field(default_factory=lambda: Histogram("latency"))
     retransmits: int = 0
     timeouts: int = 0
     switch_drops: int = 0
     ecn_marks: int = 0
     peak_buffer_bytes: int = 0
+    #: Deterministic work counts; kept out of ``scalars()``.
+    work: Dict[str, int] = field(default_factory=dict)
 
     @property
     def goodput_gbps(self) -> float:
@@ -101,28 +106,21 @@ class FabricResult:
         )
 
 
-# Connection states.
-_CONNECTING, _READY = range(2)
-
-
-class _Transfer:
+class _Transfer(NamedTuple):
     """One request(+response) moving over a conn."""
 
-    __slots__ = ("req_bytes", "resp_bytes", "arrival_s")
-
-    def __init__(self, req_bytes: int, resp_bytes: int, arrival_s: float) -> None:
-        self.req_bytes = req_bytes
-        self.resp_bytes = resp_bytes
-        self.arrival_s = arrival_s
+    req_bytes: int
+    resp_bytes: int
+    arrival_s: float
 
 
 class _FabricConn:
     """One client->server connection and its in-flight transfers."""
 
     __slots__ = (
-        "client", "server", "c_flow", "s_flow", "state",
+        "client", "server", "c_flow", "s_flow", "ready",
         "pending", "current", "send_remaining", "resp_remaining",
-        "srv_expect", "srv_send_remaining",
+        "srv_expect", "srv_send_remaining", "dirty",
     )
 
     def __init__(self, client: int, server: int) -> None:
@@ -130,7 +128,7 @@ class _FabricConn:
         self.server = server
         self.c_flow: Optional[int] = None
         self.s_flow: Optional[int] = None
-        self.state = _CONNECTING
+        self.ready = False  # handshake done on both ends
         #: Released-but-not-issued transfers.
         self.pending: Deque[_Transfer] = deque()
         self.current: Optional[_Transfer] = None
@@ -139,16 +137,8 @@ class _FabricConn:
         #: Server-side framing FIFO: [remaining, transfer].
         self.srv_expect: Deque[list] = deque()
         self.srv_send_remaining = 0
-
-    @property
-    def idle(self) -> bool:
-        """Ready to issue the next transfer client-side.
-
-        One-way pushes (resp=0) pipeline — the conn is idle again as
-        soon as the request bytes are buffered; request/response
-        transfers serialize per connection.
-        """
-        return self.current is None
+        #: Walk at the next pump even if neither endpoint ticks.
+        self.dirty = True
 
 
 class FabricLoadEngine:
@@ -179,6 +169,13 @@ class FabricLoadEngine:
         ]
         self.time_ps = 0
         self.conns: List[_FabricConn] = []
+        self._connecting: List[_FabricConn] = []
+        #: Per host, this instant: ticked; timers may have moved.
+        self._ticked = [False] * scenario.num_hosts
+        self._touched = [True] * scenario.num_hosts
+        #: Per host: cached ``next_wakeup_ps()``, NEVER if none.
+        self._timer_ps = [NEVER] * scenario.num_hosts
+        self.work = dict.fromkeys(("instants", "host_ticks", "conn_pumps"), 0)
         self._conn_by_pair: Dict[Tuple[int, int], _FabricConn] = {}
         #: (server host, client ip, client ephemeral port) -> conn
         #: awaiting accept.  Client ip is part of the key because every
@@ -197,11 +194,6 @@ class FabricLoadEngine:
             num_hosts=scenario.num_hosts,
             seed=scenario.seed,
             load_scale=load_scale,
-            elapsed_s=0.0,
-            finished=False,
-            offered=0,
-            completed=0,
-            bytes_delivered=0,
         )
         #: Observability (repro.obs): a TraceBus, or None (free default).
         self.trace = None
@@ -230,23 +222,16 @@ class FabricLoadEngine:
                 1.0 / (k + 1) ** scenario.zipf_s for k in range(n - 1)
             ]
             total = sum(weights)
-            acc = 0.0
-            zipf_cdf = []
-            for w in weights:
-                acc += w / total
-                zipf_cdf.append(acc)
+            zipf_cdf = list(accumulate(w / total for w in weights))
         for t in times:
             if zipf_cdf is None:
                 server = 0
                 client = 1 + pick_rng.randrange(n - 1)
             else:
                 client = pick_rng.randrange(n)
+                # First rank whose cumulative share reaches u.
                 u = pick_rng.random()
-                rank = len(zipf_cdf) - 1
-                for k, threshold in enumerate(zipf_cdf):
-                    if u <= threshold:
-                        rank = k
-                        break
+                rank = min(bisect_left(zipf_cdf, u), len(zipf_cdf) - 1)
                 server = rank if rank < client else rank + 1
             self._schedule.append((
                 t, client, server,
@@ -287,6 +272,7 @@ class FabricLoadEngine:
         result.switch_drops = self.fabric.dropped
         result.ecn_marks = self.fabric.ecn_marked
         result.peak_buffer_bytes = self.fabric.peak_buffer_bytes
+        result.work = dict(self.work, switch_events=self.fabric.events)
         return result
 
     @property
@@ -302,13 +288,15 @@ class FabricLoadEngine:
         key = stack.flows[conn.c_flow].key
         self._awaiting[(server, key.src_ip, key.src_port)] = conn
         self.conns.append(conn)
+        self._connecting.append(conn)
         self._conn_by_pair[(client, server)] = conn
         return conn
 
     def _poll_accepts(self) -> None:
         port = self.scenario.server_port
         for index, stack in enumerate(self.stacks):
-            while True:
+            # Accept queues fill only while their host ticks.
+            while self._ticked[index]:
                 flow = stack.accept(port)
                 if flow is None:
                     break
@@ -321,23 +309,20 @@ class FabricLoadEngine:
                 if conn is not None:
                     conn.s_flow = flow
 
-    def _advance_connecting(self, conn: _FabricConn) -> None:
-        if conn.state != _CONNECTING:
-            return
-        stack = self.stacks[conn.client]
-        if (
-            conn.s_flow is not None
-            and stack.flow_state(conn.c_flow) is TcpState.ESTABLISHED
-        ):
-            conn.state = _READY
+    def _advance_connecting(self) -> None:
+        for conn in self._connecting:
+            stack = self.stacks[conn.client]
+            if (
+                conn.s_flow is not None
+                and stack.flow_state(conn.c_flow) is TcpState.ESTABLISHED
+            ):
+                conn.ready = conn.dirty = True
+        self._connecting = [c for c in self._connecting if not c.ready]
 
     def _pools_ready(self) -> bool:
         self._poll_accepts()
-        for conn in self.conns:
-            self._advance_connecting(conn)
-            if conn.state == _CONNECTING:
-                return False
-        return True
+        self._advance_connecting()
+        return not self._connecting
 
     # ------------------------------------------------------------ the pump
     def _next_arrival_ps(self) -> Optional[int]:
@@ -350,24 +335,29 @@ class FabricLoadEngine:
         return int(arrival_s * 1e12) + 1
 
     def _pump(self) -> bool:
+        """Walk each conn with a ticked endpoint, new work, or progress
+        at its last walk (a walk sends at most ``len(_ZEROS)`` bytes and
+        issues a queued transfer only on the next walk); others idle."""
         self._poll_accepts()
-        for conn in self.conns:
-            self._advance_connecting(conn)
+        self._advance_connecting()
         if self.scenario.mode == "rounds":
             self._pump_rounds()
         else:
             self._release_arrivals()
+        ticked, touched, work = self._ticked, self._touched, self.work
         for conn in self.conns:
-            self._advance_conn(conn)
+            if conn.dirty or ticked[conn.client] or ticked[conn.server]:
+                work["conn_pumps"] += 1
+                conn.dirty = self._advance_conn(conn)
+                touched[conn.client] = touched[conn.server] = True
         return self._all_done()
 
     def _pump_rounds(self) -> None:
         scenario = self.scenario
         if self._round >= scenario.rounds or self._outstanding > 0:
             return
-        for conn in self.conns:
-            if conn.state != _READY:
-                return
+        if self._connecting:
+            return
         # Barrier crossed: everyone finished the previous round.
         now_rel = self.now_s - self._start_s
         block = scenario.block_bytes
@@ -381,6 +371,7 @@ class FabricLoadEngine:
                 conn.pending.append(
                     _Transfer(scenario.request_bytes, block, now_rel)
                 )
+            conn.dirty = True
             self._outstanding += 1
         if self.trace is not None:
             self.trace.emit(
@@ -402,6 +393,7 @@ class FabricLoadEngine:
             if conn is None:
                 conn = self._connect(client, server)
             conn.pending.append(_Transfer(req_b, resp_b, t))
+            conn.dirty = True
             if self.trace is not None:
                 self.trace.emit(
                     self.time_ps, "fabric", "driver", "arrival", -1,
@@ -409,19 +401,24 @@ class FabricLoadEngine:
                 )
 
     # ----------------------------------------------------- conn state steps
-    def _advance_conn(self, conn: _FabricConn) -> None:
-        if conn.state != _READY:
-            return
+    def _advance_conn(self, conn: _FabricConn) -> bool:
+        """One walk of ``conn``; True if it made progress."""
+        if not conn.ready:
+            return False
+        moved = 0
         if conn.current is None and conn.pending:
             transfer = conn.pending.popleft()
             conn.current = transfer
             conn.send_remaining = transfer.req_bytes
             conn.resp_remaining = transfer.resp_bytes
             conn.srv_expect.append([transfer.req_bytes, transfer])
+            moved = 1
         client_stack = self.stacks[conn.client]
         if conn.send_remaining > 0:
             chunk = _ZEROS[: min(conn.send_remaining, len(_ZEROS))]
-            conn.send_remaining -= client_stack.send_data(conn.c_flow, chunk)
+            sent = client_stack.send_data(conn.c_flow, chunk)
+            conn.send_remaining -= sent
+            moved += sent
         if (
             conn.current is not None
             and conn.send_remaining == 0
@@ -430,17 +427,20 @@ class FabricLoadEngine:
             # One-way push fully buffered: free the conn to pipeline the
             # next transfer; completion is counted at the receiver.
             conn.current = None
-        self._serve(conn)
+            moved += 1
+        moved += self._serve(conn)
         if conn.resp_remaining > 0 and conn.send_remaining == 0:
-            self._pull_response(conn)
+            moved += self._pull_response(conn)
+        return moved > 0
 
-    def _serve(self, conn: _FabricConn) -> None:
+    def _serve(self, conn: _FabricConn) -> int:  # bytes moved
         stack = self.stacks[conn.server]
         if conn.s_flow is None or conn.s_flow not in stack.flows:
-            return
+            return 0
         readable = stack.readable(conn.s_flow)
+        moved = 0
         if readable > 0:
-            received = len(stack.recv_data(conn.s_flow, readable))
+            received = moved = len(stack.recv_data(conn.s_flow, readable))
             while received > 0 and conn.srv_expect:
                 expect = conn.srv_expect[0]
                 take = min(received, expect[0])
@@ -457,21 +457,26 @@ class FabricLoadEngine:
                 conn.srv_expect.popleft()
         if conn.srv_send_remaining > 0:
             chunk = _ZEROS[: min(conn.srv_send_remaining, len(_ZEROS))]
-            conn.srv_send_remaining -= stack.send_data(conn.s_flow, chunk)
+            sent = stack.send_data(conn.s_flow, chunk)
+            conn.srv_send_remaining -= sent
+            moved += sent
+        return moved
 
-    def _pull_response(self, conn: _FabricConn) -> None:
+    def _pull_response(self, conn: _FabricConn) -> int:  # bytes moved
         stack = self.stacks[conn.client]
         readable = stack.readable(conn.c_flow)
         if readable <= 0:
-            return
+            return 0
         take = min(readable, conn.resp_remaining)
-        conn.resp_remaining -= len(stack.recv_data(conn.c_flow, take))
+        received = len(stack.recv_data(conn.c_flow, take))
+        conn.resp_remaining -= received
         if conn.resp_remaining == 0 and conn.current is not None:
             transfer = conn.current
             conn.current = None
             self._complete(
                 conn, transfer, transfer.req_bytes + transfer.resp_bytes
             )
+        return received
 
     def _complete(
         self, conn: _FabricConn, transfer: _Transfer, delivered_bytes: int
@@ -491,46 +496,52 @@ class FabricLoadEngine:
 
     def _all_done(self) -> bool:
         if self.scenario.mode == "rounds":
-            return (
-                self._round >= self.scenario.rounds
-                and self._outstanding == 0
-            )
-        return (
-            self._release_index >= len(self._schedule)
-            and self._outstanding == 0
-        )
+            released = self._round >= self.scenario.rounds
+        else:
+            released = self._release_index >= len(self._schedule)
+        return released and self._outstanding == 0
 
     # ------------------------------------------------------------ run loop
     def _run(self, until: Callable[[], bool], max_time_s: float) -> bool:
-        """Event-driven loop: settle every host at each event instant."""
+        """Per instant: advance the switch, tick (in index order) the
+        hosts with a delivery or timer due, evaluate ``until``."""
         max_time_ps = self.time_ps + int(max_time_s * 1e12)
         stacks = self.stacks
         fabric = self.fabric
+        delivery_ps = fabric.delivery_ps
+        timer_ps = self._timer_ps
+        ticked = self._ticked
+        touched = self._touched
+        work = self.work
+        hosts = range(len(stacks))
         while True:
             t = self.time_ps
-            for stack in stacks:
+            work["instants"] += 1
+            fabric.advance(t)
+            for i in hosts:
+                stack = stacks[i]
                 stack.now_ps = t
-            for stack in stacks:
-                stack.tick()
+                if delivery_ps[i] <= t or timer_ps[i] <= t:
+                    ticked[i] = touched[i] = True
+                    work["host_ticks"] += 1
+                    stack.tick()
             if until():
                 return True
             if t >= max_time_ps:
                 return False
-            candidates: List[int] = []
-            nxt = fabric.next_event_ps()
-            if nxt is not None:
-                candidates.append(nxt)
-            for stack in stacks:
-                wakeup = stack.next_wakeup_ps()
-                if wakeup is not None:
-                    candidates.append(wakeup)
-            arrival = self._next_arrival_ps()
-            if arrival is not None:
-                candidates.append(arrival)
-            future = [c for c in candidates if c > t]
-            if not future:
+            for i in hosts:
+                if touched[i]:
+                    wakeup = stacks[i].next_wakeup_ps()
+                    timer_ps[i] = NEVER if wakeup is None else wakeup
+                    ticked[i] = touched[i] = False
+            nxt = min(timer_ps)
+            assert nxt > t, "a timer due now was not ticked"
+            for event in (fabric.next_event_ps(), self._next_arrival_ps()):
+                if event is not None and t < event < nxt:
+                    nxt = event
+            if nxt == NEVER:
                 return False  # stalled: nothing can change the predicate
-            self.time_ps = min(min(future), max_time_ps)
+            self.time_ps = min(nxt, max_time_ps)
 
 
 def run_fabric(

@@ -23,6 +23,10 @@ shared buffer, and the admission policy arbitrating it — are all here:
 Everything is integer picoseconds and integer bytes; events are
 processed in global (time, port-index) order, so one seed replays one
 run bit for bit (the switch itself has *no* RNG at all).
+
+Each uplink's next arrival and each port's next egress start sit in
+one agenda heap, re-keyed only when that port's state changes, so
+neither ``advance`` nor ``next_event_ps`` ever scans the ports.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: First host IP; host ``i`` is ``_BASE_IP + i`` (plain int arithmetic).
 _BASE_IP = ip_from_string("10.0.0.1")
+
+#: "No event": an integer-ps key later than any real instant.
+NEVER = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -139,30 +146,30 @@ class _OutputQueue:
 
 
 class _FabricPort:
-    """One host's NIC-side handle on the fabric (SoftPort-shaped)."""
+    """One host's NIC-side handle (SoftPort-shaped); ``poll`` does not
+    advance the switch — its driver does."""
 
     def __init__(self, fabric: "SwitchFabric", index: int) -> None:
         self._fabric = fabric
         self._index = index
 
     def send(self, packet: FabricPacket, now_ps: int) -> None:
-        self._fabric._uplinks[self._index].transmit(packet, now_ps)
+        self._fabric._transmit(self._index, packet, now_ps)
 
     def poll(self, now_ps: int) -> List[FabricPacket]:
-        self._fabric.advance(now_ps)
-        heap = self._fabric._delivery[self._index]
+        fabric = self._fabric
+        heap = fabric._delivery[self._index]
         due: List[FabricPacket] = []
         while heap and heap[0][0] <= now_ps:
             due.append(heapq.heappop(heap)[2])
+        fabric.delivery_ps[self._index] = heap[0][0] if heap else NEVER
         return due
-
-    def next_arrival_ps(self) -> Optional[int]:
-        heap = self._fabric._delivery[self._index]
-        return heap[0][0] if heap else None
 
     @property
     def pending(self) -> int:
-        return self._fabric.in_flight
+        """This host's uplink backlog plus its undelivered packets."""
+        fabric, index = self._fabric, self._index
+        return fabric._uplinks[index].in_flight + len(fabric._delivery[index])
 
 
 class SwitchFabric:
@@ -185,11 +192,19 @@ class SwitchFabric:
             [] for _ in range(num_hosts)
         ]
         self._delivery_seq = 0
+        #: Per host: head of its delivery heap, or NEVER.
+        self.delivery_ps = [NEVER] * num_hosts
+        #: The agenda: lazy (t_ps, slot) entries, live while equal to
+        #: ``_key[slot]``; slot i is uplink i's next arrival, slot N + i
+        #: port i's next egress start.  Heap order is the tie order.
+        self._agenda: List[Tuple[int, int]] = []
+        self._key = [NEVER] * (2 * num_hosts)
+        self.now_ps = 0  # the last instant ``advance`` ran to
         self.buffer_used = 0
         # Counters (all deterministic; surfaced into FabricResult).
+        self.events = 0
         self.forwarded = 0
         self.dropped = 0
-        self.drops_per_port = [0] * num_hosts
         self.ecn_marked = 0
         self.peak_buffer_bytes = 0
         #: Observability (repro.obs): a TraceBus, or None (free default).
@@ -219,42 +234,27 @@ class SwitchFabric:
         return config.dt_alpha_x8 * free // 8
 
     # ------------------------------------------------------ the event loop
-    def _next_ingress(self) -> Optional[Tuple[int, int]]:
-        """Earliest (arrival_ps, src_index) across uplinks."""
-        best: Optional[Tuple[int, int]] = None
-        for index, uplink in enumerate(self._uplinks):
-            t = uplink.next_arrival_ps()
-            if t is not None and (best is None or t < best[0]):
-                best = (t, index)
-        return best
+    def _rekey(self, slot: int, t_ps: int) -> None:
+        if self._key[slot] != t_ps:
+            self._key[slot] = t_ps
+            if t_ps != NEVER:
+                heapq.heappush(self._agenda, (t_ps, slot))
 
-    def _next_egress(self) -> Optional[Tuple[int, int]]:
-        """Earliest (start_ps, out_port) an egress could begin serving."""
-        best: Optional[Tuple[int, int]] = None
-        for index, queue in enumerate(self._queues):
-            head = queue.head_ready_ps()
-            if head is None:
-                continue
-            start = self._egress_free_ps[index]
-            if start < head:
-                start = head
-            if best is None or start < best[0]:
-                best = (start, index)
-        return best
+    def _transmit(self, src: int, packet: FabricPacket, now_ps: int) -> None:
+        uplink = self._uplinks[src]
+        uplink.transmit(packet, now_ps)
+        head = uplink.next_arrival_ps()
+        # One ``advance`` per instant sees everything: sends land later.
+        assert head > self.now_ps, "a send must land strictly after now"
+        self._rekey(src, head)
 
     def next_event_ps(self) -> Optional[int]:
         """Earliest instant at which the fabric's state next changes."""
-        times: List[int] = []
-        ingress = self._next_ingress()
-        if ingress is not None:
-            times.append(ingress[0])
-        egress = self._next_egress()
-        if egress is not None:
-            times.append(egress[0])
-        for heap in self._delivery:
-            if heap:
-                times.append(heap[0][0])
-        return min(times) if times else None
+        agenda, key = self._agenda, self._key
+        while agenda and key[agenda[0][1]] != agenda[0][0]:
+            heapq.heappop(agenda)  # superseded by a re-key
+        t = min(agenda[0][0] if agenda else NEVER, min(self.delivery_ps))
+        return None if t == NEVER else t
 
     def advance(self, now_ps: int) -> None:
         """Process every switch event due at or before ``now_ps``.
@@ -263,22 +263,21 @@ class SwitchFabric:
         before egress starts at the same instant, ties across ports
         broken by host index — a fixed total order, hence determinism.
         """
-        while True:
-            ingress = self._next_ingress()
-            egress = self._next_egress()
-            ingress_t = ingress[0] if ingress is not None else None
-            egress_t = egress[0] if egress is not None else None
-            if ingress_t is not None and ingress_t <= now_ps and (
-                egress_t is None or ingress_t <= egress_t
-            ):
-                t, src = ingress
-                for packet in self._uplinks[src].deliver_due(t):
-                    self._admit(packet, src, t)
-                continue
-            if egress_t is not None and egress_t <= now_ps:
-                self._serve(egress[1], egress_t)
-                continue
-            return
+        agenda, key, n = self._agenda, self._key, self.num_hosts
+        while agenda and agenda[0][0] <= now_ps:
+            t, slot = heapq.heappop(agenda)
+            if key[slot] != t:
+                continue  # superseded by a re-key
+            self.events += 1
+            if slot < n:
+                uplink = self._uplinks[slot]
+                for packet in uplink.deliver_due(t):
+                    self._admit(packet, slot, t)
+                head = uplink.next_arrival_ps()
+                self._rekey(slot, NEVER if head is None else head)
+            else:
+                self._serve(slot - n, t)
+        self.now_ps = max(self.now_ps, now_ps)
 
     def _admit(self, packet: FabricPacket, src: int, now_ps: int) -> None:
         out_port = self._host_of_ip(packet.key.dst_ip)
@@ -289,7 +288,6 @@ class SwitchFabric:
         wire_bytes = packet.wire_bytes
         if queue.queued_bytes + wire_bytes > self._admit_limit(out_port):
             self.dropped += 1
-            self.drops_per_port[out_port] += 1
             if self.trace is not None:
                 self.trace.emit(
                     now_ps, "fabric", "switch", "drop", -1,
@@ -307,6 +305,11 @@ class SwitchFabric:
                     f"port={out_port} depth={queue.queued_bytes + wire_bytes}",
                 )
         queue.push(packet, src, now_ps)
+        if queue.queued_packets == 1:
+            # Enqueue instants never decrease, so only a push into an
+            # empty queue can move the port's egress start.
+            free = self._egress_free_ps[out_port]
+            self._rekey(self.num_hosts + out_port, max(free, now_ps))
         self.buffer_used += wire_bytes
         if self.buffer_used > self.peak_buffer_bytes:
             self.peak_buffer_bytes = self.buffer_used
@@ -316,33 +319,18 @@ class SwitchFabric:
         packet, _ = queue.pop()
         self.buffer_used -= packet.wire_bytes
         ser_ps = packet.wire_bytes * 8 * 10**12 // self._bits_per_s
-        self._egress_free_ps[out_port] = start_ps + ser_ps
-        arrival = start_ps + ser_ps + self._egress_prop_ps
+        free = self._egress_free_ps[out_port] = start_ps + ser_ps
+        head = queue.head_ready_ps()
+        key = NEVER if head is None else max(free, head)
+        self._rekey(self.num_hosts + out_port, key)
+        arrival = free + self._egress_prop_ps
         self._delivery_seq += 1
         heapq.heappush(
             self._delivery[out_port], (arrival, self._delivery_seq, packet)
         )
+        if arrival < self.delivery_ps[out_port]:
+            self.delivery_ps[out_port] = arrival
         self.forwarded += 1
-
-    # ----------------------------------------------------------- inventory
-    @property
-    def in_flight(self) -> int:
-        total = sum(u.in_flight for u in self._uplinks)
-        total += sum(q.queued_packets for q in self._queues)
-        total += sum(len(h) for h in self._delivery)
-        return total
-
-    @property
-    def frames_dropped(self) -> int:
-        return self.dropped
-
-    def describe(self) -> str:
-        config = self.config
-        return (
-            f"{self.num_hosts}-host switch: {config.buffer_bytes >> 10} KiB "
-            f"{config.partition} buffer, {config.queueing} queues, "
-            f"ecn@{config.ecn_threshold_bytes}"
-        )
 
 
 # ---------------------------------------------------------------- sharding

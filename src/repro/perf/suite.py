@@ -245,7 +245,7 @@ class FabricIncastBenchmark(Benchmark):
     Runs the ``incast`` fabric scenario on one backend end to end;
     events = completed transfers.  ``fingerprint()`` re-runs with the
     TraceBus attached — the fabric layer's determinism oracle, pinned
-    in BENCH_fabric.json.
+    in BENCH_perf.json.
     """
 
     events_unit = "transfers"
