@@ -203,6 +203,32 @@ class FlowProcessingCore(Component):
             or self.out_evicted
         )
 
+    def next_work_cycle(self) -> Optional[int]:
+        """Earliest own cycle at which :meth:`tick` does anything, or None.
+
+        Exact, from the port schedule: a pipeline retire is due at
+        ``pipe.next_retire_cycle()``, a queued input event is handled
+        only on even cycles, and a TCB is dispatched only on odd cycles
+        the initiation interval allows.  A dispatch queue whose flows
+        are all in flight issues nothing — its round-robin rotation
+        leaves the queue as it was — so it waits for their retire.
+        Every cycle before the returned one is a tick that only bumps
+        ``cycle``.
+        """
+        after = self.cycle + 1
+        best = self.pipe.next_retire_cycle()
+        if best is not None and best <= after:
+            return after
+        if self.input._items:
+            handle = after + (after & 1)  # next even cycle
+            if best is None or handle < best:
+                best = handle
+        if self._dispatch_queue and not self._queued <= self._in_flight:
+            dispatch = self.pipe.next_issue_cycle(after) | 1  # next odd
+            if best is None or dispatch < best:
+                best = dispatch
+        return best
+
     def tick(self) -> None:
         self.cycle += 1
         # Retire first so a writeback and a dispatch can share a cycle

@@ -207,6 +207,13 @@ class FtEngine(Component):
         #: Bumped on every host-queue mutation (post or drain) so
         #: pollers can skip rescanning untouched queues.
         self.msg_epoch = 0
+        #: Bumped by every external drain of a host-message queue, so a
+        #: poller scanning the queues with cursors knows to rescan.
+        self.host_drains = 0
+        #: Bumped by every event submission (host API or the engine's
+        #: own RX/timer paths): the testbed's cached work horizon of
+        #: this engine is stale once it moves across a host call.
+        self.submits = 0
         self._flow_thread: Dict[int, int] = {}
         self._accept_rr: Dict[int, int] = {}  # per-port round-robin index
 
@@ -400,6 +407,7 @@ class FtEngine(Component):
 
     # ------------------------------------------------------------- events
     def _submit(self, event: TcpEvent) -> None:
+        self.submits += 1
         if self.trace is not None:
             self.trace.emit(
                 self.time_ps, "engine.sched", f"{self.trace_name}/events",
@@ -446,40 +454,38 @@ class FtEngine(Component):
         """Earliest absolute cycle at which :meth:`tick` does real work.
 
         None means nothing bounded is scheduled at all (quiet forever,
-        absent external input).  Only meaningful under the testbed's
-        quiet-run contract: nothing external — wire sends from the
-        peer, host API calls — happens before the returned cycle, which
-        the caller proves by combining both engines' horizons with the
-        pump's.  Anything the very next tick would consume (backlog,
-        RX notifications, a busy scheduler or memory manager, any FPC
-        queue) reports ``cycle + 1``; the remaining sources of future
-        work are exactly the three the tick pokes every cycle — FPU
-        pipeline retires, timer expiry, wire arrivals.
+        absent external input).  Only meaningful while nothing external
+        happens before the returned cycle — no frame enters this
+        engine's inbound wire, no host API call — which the testbed
+        proves by re-asking after either (see ARCHITECTURE.md, *The
+        testbed event loop*).  A backlog, RX notifications, a busy
+        scheduler or memory manager, or undrained FPC outputs report
+        ``cycle + 1``; otherwise the horizon is the earliest of each
+        FPC's exact next work cycle (:meth:`FlowProcessingCore.next_work_cycle`),
+        timer expiry and wire arrival.
         """
+        cycle = self.cycle
         if (
             self._event_backlog
             or self.rx_parser.notifications
             or self.scheduler.busy()
             or self.memory_manager.busy()
         ):
-            return self.cycle + 1
+            return cycle + 1
         best: Optional[int] = None
         for fpc in self.fpcs:
             if not fpc._maybe_busy:
                 continue  # idle invariant: every container empty
-            if (
-                fpc.input._items
-                or fpc._dispatch_queue
-                or fpc.out_results
-                or fpc.out_evicted
-            ):
-                return self.cycle + 1
-            retire = fpc.pipe.next_retire_cycle()
-            if retire is not None:
+            if fpc.out_results or fpc.out_evicted:
+                return cycle + 1
+            own = fpc.next_work_cycle()
+            if own is not None:
                 # FPC counters lag the engine's after idle jumps (jumps
                 # move the testbed cycle without ticking); only the
                 # delta to the FPC's own cycle is meaningful.
-                c = self.cycle + max(1, retire - fpc.cycle)
+                c = cycle + own - fpc.cycle
+                if c == cycle + 1:
+                    return c
                 if best is None or c < best:
                     best = c
         hint_s = self.timers.earliest_hint
@@ -563,19 +569,24 @@ class FtEngine(Component):
         if memory_manager.input._items or memory_manager.swap_in_requests:
             memory_manager.tick()
         for fpc in self.fpcs:
-            # Idle FPCs would only bump their cycle counter; do exactly
-            # that without the full tick (hot-loop fast path).
+            # An FPC with nothing due this cycle would only bump its
+            # cycle counter; do exactly that without the full tick.
             if fpc._maybe_busy:
-                if (
+                if fpc.out_results or fpc.out_evicted:
+                    fpc.tick()
+                    self._drain_one_fpc(fpc)
+                elif (
                     fpc.input._items
                     or fpc._dispatch_queue
                     or fpc._in_flight
-                    or fpc.out_results
-                    or fpc.out_evicted
                 ):
-                    fpc.tick()
-                    if fpc.out_results or fpc.out_evicted:
-                        self._drain_one_fpc(fpc)
+                    own = fpc.next_work_cycle()
+                    if own is not None and own <= fpc.cycle + 1:
+                        fpc.tick()
+                        if fpc.out_results or fpc.out_evicted:
+                            self._drain_one_fpc(fpc)
+                    else:
+                        fpc.cycle += 1
                 else:
                     fpc._maybe_busy = False
                     fpc.cycle += 1
@@ -875,6 +886,7 @@ class FtEngine(Component):
         queue.clear()
         if messages:
             self.msg_epoch += 1
+            self.host_drains += 1
         return messages
 
 

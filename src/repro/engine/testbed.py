@@ -8,12 +8,22 @@ deadline so long quiet stretches (RTO waits) cost nothing to simulate.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..net.link import LINK_100G, Link
 from ..net.wire import Wire
 from ..tcp.segment import ip_from_string
 from .ftengine import ENGINE_PERIOD_PS, FtEngine, FtEngineConfig
+
+
+def _cycle_bound(max_time_ps: float) -> int:
+    """First cycle whose ``cycle * period >= max_time_ps`` time check exits."""
+    bound = math.ceil(max_time_ps / ENGINE_PERIOD_PS)
+    while bound * ENGINE_PERIOD_PS < max_time_ps:
+        bound += 1
+    while bound > 0 and (bound - 1) * ENGINE_PERIOD_PS >= max_time_ps:
+        bound -= 1
+    return bound
 
 
 class Testbed:
@@ -40,6 +50,12 @@ class Testbed:
             port=self.wire.port_b,
         )
         self.cycle = 0
+        #: Deterministic work counts of the next-event loop, summed over
+        #: its runs: passes, ticks per engine, real pumps, horizon
+        #: recomputes and jumps.
+        self.work: Dict[str, int] = dict.fromkeys(
+            ("passes", "ticks_a", "ticks_b", "pumps", "horizons", "skips"), 0
+        )
 
     @property
     def time_ps(self) -> int:
@@ -71,6 +87,41 @@ class Testbed:
         future = [t for t in candidates if t > self.time_ps]
         return min(future) if future else None
 
+    def _busy(self) -> bool:
+        """The idle probe's test: any frame in flight or engine busy."""
+        return (
+            self.wire.in_flight > 0
+            or self.engine_a.busy()
+            or self.engine_b.busy()
+        )
+
+    def _pay(self, lag_a: int, lag_b: int) -> None:
+        """Advance each engine over the no-op ticks it owes."""
+        if lag_a:
+            self.engine_a.advance_cycles(lag_a)
+        if lag_b:
+            self.engine_b.advance_cycles(lag_b)
+
+    def _idle_target(
+        self,
+        wakeup_ps: Optional[Callable[[], Optional[float]]],
+        max_time_ps: float,
+    ) -> Optional[int]:
+        """Cycle an idle probe jumps to, or None when nothing is awaited.
+
+        The earliest future wire arrival, timer deadline or driver
+        wakeup, never past the caller's time bound.
+        """
+        wakeup = self._next_wakeup_ps()
+        if wakeup_ps is not None:
+            external = wakeup_ps()
+            if external is not None and external > self.time_ps:
+                wakeup = external if wakeup is None else min(wakeup, external)
+        if wakeup is None:
+            return None
+        target = min(wakeup, max_time_ps)
+        return max(self.cycle, math.ceil(target / ENGINE_PERIOD_PS))
+
     def run(
         self,
         until: Optional[Callable[[], bool]] = None,
@@ -87,41 +138,40 @@ class Testbed:
         open-loop traffic arrival) so idle-skip jumps exactly there
         instead of fast-forwarding in blind chunks past it.
 
-        ``quiet_cycle`` enables the batched loop: it returns the
-        earliest cycle at which the ``until`` pump would act (trace
-        samples, audits, arrival releases, any advanceable connection),
-        or None when the pump must run every cycle.  Combined with both
-        engines' :meth:`FtEngine.next_work_cycle` horizons, whole runs
-        of busy-but-quiet cycles (FPU pipelines in flight, timers
-        pending, frames on the wire) collapse into one
-        :meth:`FtEngine.advance_cycles` call.  ``steps`` counts skipped
-        cycles so the probe phase (``steps % 8``) and both bounds stay
-        aligned with the per-cycle loop — the batched path is
-        cycle-exact, which the kernel-equivalence goldens pin.
+        Without ``quiet_cycle`` this is the per-cycle loop
+        (:meth:`_run_cycles`): ``until()``, then every 8th step an idle
+        probe, then one tick of both engines.  It is the oracle.  With
+        it, the same run is driven by :meth:`_run_events`, which visits
+        only the cycles at which an engine or the ``until`` pump acts
+        and is cycle-exact against the oracle.  ``quiet_cycle()`` is
+        called right after each ``until()`` that returned False; it
+        returns the earliest cycle at which ``until()`` could act
+        without a new host message (arrival releases, audits, trace
+        samples), or None when it must run again on the next cycle.
+        Such an ``until`` may change the engines only through their
+        host API, whose event submissions the loop watches.
         """
         max_time_ps = max_time_s * 1e12
+        if quiet_cycle is None:
+            return self._run_cycles(until, max_time_ps, max_steps, wakeup_ps)
+        return self._run_events(
+            until, max_time_ps, max_steps, wakeup_ps, quiet_cycle
+        )
+
+    def _run_cycles(
+        self,
+        until: Optional[Callable[[], bool]],
+        max_time_ps: float,
+        max_steps: int,
+        wakeup_ps: Optional[Callable[[], Optional[float]]],
+    ) -> bool:
+        """The per-cycle loop: both engines ticked on every step."""
         steps = 0
         idle_chunk = 256
-        # Skip-attempt backoff: a failed probe during a work burst
-        # predicts more failures, so attempts thin out exponentially
-        # (capped, so a fresh quiet window is still caught within a few
-        # steps).  Attempts are side-effect-free — any subset of valid
-        # skips leaves the run cycle-exact — so this is pure cost
-        # control, not a semantic knob.
-        defer = 0
-        backoff = 0
-        # First cycle whose top-of-loop time check exits: guarded so
-        # batched skips stop exactly where the float compare would.
-        cycle_bound = math.ceil(max_time_ps / ENGINE_PERIOD_PS)
-        while cycle_bound * ENGINE_PERIOD_PS < max_time_ps:
-            cycle_bound += 1
-        while cycle_bound > 0 and (cycle_bound - 1) * ENGINE_PERIOD_PS >= max_time_ps:
-            cycle_bound -= 1
         # Hot loop: hoist attribute lookups — this loop runs once per
-        # simulated cycle under every traffic scenario and lab sweep.
+        # simulated cycle under every setup phase and legacy run.
         engine_a = self.engine_a
         engine_b = self.engine_b
-        wire = self.wire
         tick_a = engine_a.tick
         tick_b = engine_b.tick
         while True:
@@ -130,118 +180,23 @@ class Testbed:
             if self.cycle * ENGINE_PERIOD_PS >= max_time_ps or steps >= max_steps:
                 return False
             # The busy probe costs more than an idle step, so only look
-            # for idle-skip opportunities every few steps.  idle_chunk
-            # and the idle branch stay strictly on this phase — idle
-            # jumps land on probe-phase-dependent cycles, so running
-            # them off-phase would diverge from the per-cycle loop.
-            busy = False
-            attempt = False
+            # for idle-skip opportunities every few steps.  Idle jumps
+            # land on probe-phase-dependent cycles, so the phase is part
+            # of the loop's semantics, not just its cost.
             if steps % 8 == 0:
-                busy = (
-                    engine_a.busy()
-                    or engine_b.busy()
-                    or wire.in_flight > 0
-                )
-                if not busy:
-                    wakeup = self._next_wakeup_ps()
-                    if wakeup_ps is not None:
-                        external = wakeup_ps()
-                        if external is not None and external > self.time_ps:
-                            wakeup = (
-                                external
-                                if wakeup is None
-                                else min(wakeup, external)
-                            )
-                    if wakeup is None:
+                if self._busy():
+                    idle_chunk = 256
+                else:
+                    target = self._idle_target(wakeup_ps, max_time_ps)
+                    if target is None:
                         if until is None:
                             return True  # fully idle and nothing awaited
-                        # Idle but a predicate is waiting: fast-forward in
-                        # growing chunks so cycle-gated drivers (send
-                        # pumps) still run, yet long dead time is cheap.
-                        self.cycle += idle_chunk
+                        # Idle but a predicate is waiting: fast-forward
+                        # in growing chunks so cycle-gated drivers still
+                        # run, yet long dead time is cheap.
+                        target = self.cycle + idle_chunk
                         idle_chunk = min(idle_chunk * 2, 1 << 22)
-                    else:
-                        # Jump both engines to the cycle holding the
-                        # wakeup (never past the caller's time bound).
-                        target = min(wakeup, max_time_ps)
-                        self.cycle = max(
-                            self.cycle, math.ceil(target / ENGINE_PERIOD_PS)
-                        )
-                else:
-                    idle_chunk = 256
-                    attempt = quiet_cycle is not None
-            elif quiet_cycle is not None:
-                busy = (
-                    engine_a.busy()
-                    or engine_b.busy()
-                    or wire.in_flight > 0
-                )
-                # Not-busy iterations between probes are plain ticks in
-                # the per-cycle loop too (the idle branch only runs on
-                # the probe phase), so they are also collapsible — just
-                # capped at the next probe top, where the idle branch
-                # must run for real.
-                attempt = True
-            if attempt and defer > 0:
-                defer -= 1
-                attempt = False
-            if attempt:
-                # Batched run: find the first cycle anything — either
-                # engine or the pump — acts, and collapse the
-                # guaranteed-no-op iterations before it.  Skipped
-                # iterations' pumps, bounds checks and ticks are no-ops
-                # by construction; counting them straight into
-                # cycle/steps keeps the probe phase and both bounds
-                # exactly where the per-cycle loop would have them.
-                # Engine horizons first: when work is imminent (the
-                # common busy-working case) they bail out before the
-                # pump's connection scan runs.
-                floor = self.cycle + 1
-                wa = engine_a.next_work_cycle()
-                if wa is None or wa > floor:
-                    wb = engine_b.next_work_cycle()
-                    if wb is None or wb > floor:
-                        limit = quiet_cycle()
-                        if limit is not None:
-                            if wa is not None and wa < limit:
-                                limit = wa
-                            if wb is not None and wb < limit:
-                                limit = wb
-                            if cycle_bound < limit:
-                                limit = cycle_bound
-                            h = limit - floor
-                            cap = max_steps - steps - 1
-                            if cap < h:
-                                h = cap
-                            if not busy:
-                                # busy can't change inside a no-op run,
-                                # so a skipped probe top would take the
-                                # idle branch (a jump that does NOT
-                                # advance engine counters) — land on it
-                                # instead of skipping over it.
-                                cap = 8 - steps % 8
-                                if cap < h:
-                                    h = cap
-                            if h > 0:
-                                # A skipped probe iteration would have
-                                # reset idle_chunk (busy can't change
-                                # inside a no-op run).
-                                if (steps + h - 1) // 8 > steps // 8:
-                                    idle_chunk = 256
-                                self.cycle += h
-                                engine_a.advance_cycles(h)
-                                engine_b.advance_cycles(h)
-                                steps += h
-                                backoff = 0
-                                # The landing step has work by
-                                # construction; don't re-probe it.
-                                defer = 1
-                                continue
-                # Failed attempt: work is imminent, thin out probes.
-                backoff = backoff * 2 if backoff else 1
-                if backoff > 8:
-                    backoff = 8
-                defer = backoff
+                    self.cycle = target
             # Inlined self.step(): one 250 MHz cycle for both engines.
             cycle = self.cycle + 1
             self.cycle = cycle
@@ -250,6 +205,191 @@ class Testbed:
             tick_a()
             tick_b()
             steps += 1
+
+    def _run_events(
+        self,
+        until: Optional[Callable[[], bool]],
+        max_time_ps: float,
+        max_steps: int,
+        wakeup_ps: Optional[Callable[[], Optional[float]]],
+        quiet_cycle: Callable[[], Optional[int]],
+    ) -> bool:
+        """The next-event loop: :meth:`_run_cycles`, minus its no-ops.
+
+        Each pass is one per-cycle iteration — pump, bounds, probe on
+        the ``steps % 8`` phase, tick at ``cycle + 1`` — or, when it
+        would tick nobody, a jump over it and every following iteration
+        that provably does nothing.  An engine is ticked only on a cycle
+        its cached work horizon names; on the others it owes a no-op
+        tick, paid as one ``advance_cycles`` right before anything reads
+        its clock.  The pump runs only when a host message was posted,
+        its own ``quiet_cycle`` horizon is reached, or that horizon was
+        None.  ARCHITECTURE.md (*The testbed event loop*) states the
+        contract.
+        """
+        engine_a = self.engine_a
+        engine_b = self.engine_b
+        tick_a = engine_a.tick
+        tick_b = engine_b.tick
+        horizon_a = engine_a.next_work_cycle
+        horizon_b = engine_b.next_work_cycle
+        # Each engine's outbound direction is its peer's inbound one.
+        out_a = engine_a.port._outbound
+        out_b = engine_b.port._outbound
+        cycle_bound = _cycle_bound(max_time_ps)
+        cycle = self.cycle
+        steps = 0
+        idle_chunk = 256
+        # Per engine: cycles owed as no-op ticks, the cached horizon and
+        # whether it must be recomputed.
+        lag_a = lag_b = 0
+        next_a = next_b = None
+        stale_a = stale_b = True
+        # The engines' busy() probe result; None = not known since the
+        # last tick or pump.
+        busy: Optional[bool] = None
+        # The pump runs at the first pass, at pump_at, and whenever a
+        # host message has been posted since its last run.
+        pump_at = cycle
+        epoch_a = epoch_b = -1
+        submits_a, submits_b = engine_a.submits, engine_b.submits
+        passes = ticks_a = ticks_b = pumps = horizons = skips = 0
+        try:
+            while True:
+                passes += 1
+                if until is not None and (
+                    cycle >= pump_at
+                    or engine_a.msg_epoch != epoch_a
+                    or engine_b.msg_epoch != epoch_b
+                ):
+                    # The pump reads the engines' clocks (now_s, trace
+                    # stamps): pay what they owe first.
+                    self._pay(lag_a, lag_b)
+                    lag_a = lag_b = 0
+                    self.cycle = cycle
+                    pumps += 1
+                    if until():
+                        return True
+                    quiet = quiet_cycle()
+                    pump_at = cycle + 1 if quiet is None else quiet
+                    epoch_a, epoch_b = engine_a.msg_epoch, engine_b.msg_epoch
+                    if engine_a.submits != submits_a:
+                        submits_a = engine_a.submits
+                        stale_a = True
+                        busy = None
+                    if engine_b.submits != submits_b:
+                        submits_b = engine_b.submits
+                        stale_b = True
+                        busy = None
+                if cycle >= cycle_bound or steps >= max_steps:
+                    return False
+                if not steps & 7:
+                    if busy is None:
+                        busy = self._busy()
+                    if busy:
+                        idle_chunk = 256
+                    else:
+                        self._pay(lag_a, lag_b)
+                        lag_a = lag_b = 0
+                        self.cycle = cycle
+                        target = self._idle_target(wakeup_ps, max_time_ps)
+                        if target is None:
+                            if until is None:
+                                return True  # fully idle, nothing awaited
+                            target = cycle + idle_chunk
+                            idle_chunk = min(idle_chunk * 2, 1 << 22)
+                        if target != cycle:
+                            # The jump moves the engine clocks but not
+                            # the FPC and scheduler counters, exactly as
+                            # in _run_cycles; horizons shift with it.
+                            cycle = target
+                            engine_a.cycle = engine_b.cycle = cycle
+                            stale_a = stale_b = True
+                if stale_a:
+                    if lag_a:
+                        engine_a.advance_cycles(lag_a)
+                        lag_a = 0
+                    next_a = horizon_a()
+                    horizons += 1
+                    stale_a = False
+                if stale_b:
+                    if lag_b:
+                        engine_b.advance_cycles(lag_b)
+                        lag_b = 0
+                    next_b = horizon_b()
+                    horizons += 1
+                    stale_b = False
+                tick_at = cycle + 1
+                due_a = next_a is not None and next_a <= tick_at
+                due_b = next_b is not None and next_b <= tick_at
+                if due_a or due_b:
+                    # Tick the engines due, A before B.  A tick never
+                    # makes the peer due on the same cycle: a frame sent
+                    # at c arrives strictly after c.
+                    if due_a:
+                        if lag_a:
+                            engine_a.advance_cycles(lag_a)
+                            lag_a = 0
+                        sent = out_a.frames_sent
+                        tick_a()
+                        ticks_a += 1
+                        stale_a = True
+                        if out_a.frames_sent != sent:
+                            stale_b = True
+                    else:
+                        lag_a += 1
+                    if due_b:
+                        if lag_b:
+                            engine_b.advance_cycles(lag_b)
+                            lag_b = 0
+                        sent = out_b.frames_sent
+                        tick_b()
+                        ticks_b += 1
+                        stale_b = True
+                        if out_b.frames_sent != sent:
+                            stale_a = True
+                    else:
+                        lag_b += 1
+                    busy = None
+                    cycle = tick_at
+                    steps += 1
+                    continue
+                # This pass ticks nobody, so it is a no-op: jump over it
+                # and every following pass with no pump, no bound, no
+                # idle probe and no engine due.  (After an idle jump the
+                # next pass may already pump or hit the time bound.)
+                n = min(cycle_bound - cycle, max_steps - steps)
+                if until is not None and pump_at - cycle < n:
+                    n = pump_at - cycle
+                if next_a is not None and next_a - 1 - cycle < n:
+                    n = next_a - 1 - cycle
+                if next_b is not None and next_b - 1 - cycle < n:
+                    n = next_b - 1 - cycle
+                if n < 1:
+                    n = 1
+                probe = (-steps - 1 & 7) + 1  # passes ahead to a probe one
+                if probe < n:
+                    if busy is None:
+                        busy = self._busy()
+                    if busy:
+                        idle_chunk = 256
+                    else:
+                        n = probe  # an idle probe jumps: land on it
+                cycle += n
+                steps += n
+                lag_a += n
+                lag_b += n
+                skips += 1
+        finally:
+            self._pay(lag_a, lag_b)
+            self.cycle = cycle
+            work = self.work
+            work["passes"] += passes
+            work["ticks_a"] += ticks_a
+            work["ticks_b"] += ticks_b
+            work["pumps"] += pumps
+            work["horizons"] += horizons
+            work["skips"] += skips
 
     # ------------------------------------------------------- conveniences
     def establish(

@@ -53,12 +53,15 @@ class OffloadBackend(Protocol):
     ``host_messages`` carries :class:`~repro.engine.ftengine.
     EngineMessage` notifications ('connected', 'accepted', 'acked',
     'data', 'eof', 'closed', 'reset') that drive the load engine's
-    dirty-set pump.
+    dirty-set pump; ``msg_epoch`` moves on every queue mutation and
+    ``host_drains`` on every ``drain_host_messages``.
     """
 
     ip: int
     flows: Dict[int, Any]
     host_messages: Dict[int, Deque[Any]]
+    msg_epoch: int
+    host_drains: int
 
     def listen(self, port: int) -> None: ...
 

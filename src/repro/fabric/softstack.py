@@ -302,6 +302,8 @@ class SoftStack:
         #: Bumped on every host-queue mutation, mirroring
         #: ``FtEngine.msg_epoch`` so pollers can skip unchanged queues.
         self.msg_epoch = 0
+        #: Bumped on every drain, mirroring ``FtEngine.host_drains``.
+        self.host_drains = 0
         self._listening: Set[int] = set()
         self._accept_queues: Dict[int, Deque[int]] = {}
         self._by_key: Dict[FlowKey, int] = {}
@@ -450,6 +452,7 @@ class SoftStack:
         drained = list(queue)
         queue.clear()
         self.msg_epoch += 1
+        self.host_drains += 1
         return drained
 
     # ------------------------------------------------------------ the tick

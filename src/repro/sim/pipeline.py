@@ -79,6 +79,13 @@ class Pipeline(Generic[T, R]):
             return None
         return self._in_flight[0][0] + self.latency
 
+    def next_issue_cycle(self, cycle: int) -> int:
+        """First cycle at or after ``cycle`` at which :meth:`can_issue` holds."""
+        last = self._last_issue_cycle
+        if last is None or cycle - last >= self.initiation_interval:
+            return cycle
+        return last + self.initiation_interval
+
     def retire_ready(self, cycle: int) -> List[R]:
         """Pop every item whose latency has elapsed by ``cycle``.
 

@@ -79,6 +79,9 @@ class CuckooHashTable(Generic[K, V]):
             [None] * self._table_size,
         ]
         self._stash: Dict[K, V] = {}
+        #: Both bucket indices of every stored key: hashing a key is a
+        #: pure-Python FNV-1a over its repr, too slow to redo per probe.
+        self._buckets: Dict[K, Tuple[int, int]] = {}
         self._count = 0
         self.lookups = 0
         self.kicks = 0
@@ -98,16 +101,31 @@ class CuckooHashTable(Generic[K, V]):
     def load_factor(self) -> float:
         return self._count / self.capacity
 
-    def _hash(self, key: K, table: int) -> int:
-        data = _key_bytes(key)
-        return _fnv1a(data, seed=0x9E3779B9 * (table + 1)) % self._table_size
+    def _indices(self, key: K) -> Tuple[int, int]:
+        """``key``'s bucket index in table 0 and in table 1.
+
+        Memoized while the key is stored (entries are added by
+        :meth:`insert` and dropped by :meth:`remove`); any other key is
+        validated and hashed afresh.
+        """
+        pair = self._buckets.get(key)
+        if pair is None:
+            data = _key_bytes(key)
+            size = self._table_size
+            pair = (
+                _fnv1a(data, seed=0x9E3779B9) % size,
+                _fnv1a(data, seed=0x9E3779B9 * 2) % size,
+            )
+        return pair
 
     # ------------------------------------------------------------- queries
     def get(self, key: K) -> Optional[V]:
         """Constant-time lookup: two bucket probes plus the stash."""
         self.lookups += 1
+        pair = self._indices(key)
+        tables = self._tables
         for table in (0, 1):
-            slot = self._tables[table][self._hash(key, table)]
+            slot = tables[table][pair[table]]
             if slot is not None and slot[0] == key:
                 return slot[1]
         return self._stash.get(key)
@@ -119,8 +137,9 @@ class CuckooHashTable(Generic[K, V]):
     def insert(self, key: K, value: V) -> None:
         """Insert or update; raises :class:`CuckooFullError` when full."""
         self.inserts += 1
+        pair = self._indices(key)
         for table in (0, 1):
-            index = self._hash(key, table)
+            index = pair[table]
             slot = self._tables[table][index]
             if slot is not None and slot[0] == key:
                 self._tables[table][index] = (key, value)
@@ -128,13 +147,16 @@ class CuckooHashTable(Generic[K, V]):
         if key in self._stash:
             self._stash[key] = value
             return
+        # Every displaced resident below is stored, so memoized; the new
+        # key is, too, unless the insert fails (then it is dropped).
+        self._buckets[key] = pair
 
         entry: Tuple[K, V] = (key, value)
         table = 0
         path: List[Tuple[int, int]] = []
         chain = 0
         for _ in range(self.MAX_KICKS):
-            index = self._hash(entry[0], table)
+            index = self._indices(entry[0])[table]
             resident = self._tables[table][index]
             self._tables[table][index] = entry
             path.append((table, index))
@@ -162,6 +184,7 @@ class CuckooHashTable(Generic[K, V]):
                 self._tables[undo_table][undo_index],
                 entry,
             )
+        del self._buckets[key]
         self.failed_inserts += 1
         raise CuckooFullError(
             f"cuckoo table full: {self._count}/{self.capacity} entries "
@@ -172,15 +195,18 @@ class CuckooHashTable(Generic[K, V]):
 
     def remove(self, key: K) -> Optional[V]:
         """Delete ``key``; returns its value or None if absent."""
+        pair = self._indices(key)
         for table in (0, 1):
-            index = self._hash(key, table)
+            index = pair[table]
             slot = self._tables[table][index]
             if slot is not None and slot[0] == key:
                 self._tables[table][index] = None
                 self._count -= 1
+                del self._buckets[key]
                 return slot[1]
         if key in self._stash:
             self._count -= 1
+            del self._buckets[key]
             return self._stash.pop(key)
         return None
 

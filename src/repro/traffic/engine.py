@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional
 
 from ..engine.ftengine import ENGINE_PERIOD_PS
@@ -83,6 +84,9 @@ class ScenarioResult:
     classes: Dict[str, ClassMetrics]
     frames_dropped: int = 0
     violations: List[str] = field(default_factory=list)
+    #: The testbed event loop's deterministic work counts
+    #: (``Testbed.work``); kept out of ``rows()`` and the CSV.
+    work: Dict[str, int] = field(default_factory=dict)
 
     @property
     def completed(self) -> int:
@@ -184,10 +188,12 @@ class _Conn:
     __slots__ = (
         "cls", "a_flow", "b_flow", "state", "current", "send_remaining",
         "resp_remaining", "arrival_s", "connect_s", "srv_expect",
-        "srv_send_remaining", "rounds_left", "dirty",
+        "srv_send_remaining", "rounds_left", "dirty", "seq",
     )
 
-    def __init__(self, cls: TrafficClass, rounds_left: int = 0) -> None:
+    def __init__(
+        self, cls: TrafficClass, rounds_left: int = 0, seq: int = 0
+    ) -> None:
         self.cls = cls
         self.a_flow: Optional[int] = None
         self.b_flow: Optional[int] = None
@@ -204,8 +210,11 @@ class _Conn:
         #: Pump fast path: a clean conn is fully blocked on the engines
         #: and is not advanced until an EngineMessage (or a new arrival)
         #: re-marks it.  Polling a blocked conn is side-effect-free, so
-        #: skipping it is cycle-exact (see _drain_host_messages).
-        self.dirty = True
+        #: skipping it is cycle-exact (see _drain_host_messages).  Set
+        #: only through _ClassState.mark, which keeps the dirty list.
+        self.dirty = False
+        #: Creation order; a class's conns list is sorted by it.
+        self.seq = seq
 
 
 def _conn_snapshot(conn: "_Conn") -> tuple:
@@ -232,6 +241,9 @@ class _ClassState:
         self.cls = cls
         self.metrics = ClassMetrics(cls.name)
         self.conns: List[_Conn] = []
+        #: The dirty conns, in no particular order (see mark); the pump
+        #: walks them in conns order, so its cost is O(dirty conns).
+        self.dirty: List[_Conn] = []
         #: Open-loop requests released but not yet picked up by a conn.
         self.pending: Deque[Request] = deque()
         #: Per-request transactions still to start (closed-loop churn).
@@ -240,6 +252,17 @@ class _ClassState:
         #: schedule time); one live RNG per stream keeps replay exact.
         self.req_rng = scenario.class_rng(cls, "request-sizes")
         self.resp_rng = scenario.class_rng(cls, "response-sizes")
+
+    def mark(self, conn: _Conn) -> None:
+        """Mark ``conn`` (one of this class's conns) for the next pump."""
+        if not conn.dirty:
+            conn.dirty = True
+            self.dirty.append(conn)
+
+    def mark_all(self) -> None:
+        for conn in self.conns:
+            conn.dirty = True
+        self.dirty = list(self.conns)
 
 
 class LoadEngine:
@@ -307,14 +330,16 @@ class LoadEngine:
         #: (side, thread_id) -> scan position in that host-message queue.
         self._msg_cursors: Dict[tuple, int] = {}
         self._msg_epochs = [-1, -1]  # last-seen msg_epoch per engine side
+        self._msg_drains = [0, 0]  # last-seen host_drains per engine side
+        self._conn_seq = 0
         #: Verification switch: advance every conn every pump (the
         #: pre-dirty-set behaviour).  Both modes are cycle-identical —
         #: tests assert equal trace fingerprints — but sweeping is slow.
         self.sweep_all_pumps = False
         #: Batched execution switch: hand the testbed the pump-quiet
-        #: horizon so busy-but-idle runs collapse into bulk advances.
-        #: Both modes are cycle-identical (equivalence tests pin the
-        #: trace fingerprints); False keeps the per-cycle legacy loop.
+        #: horizon so it runs its next-event loop.  Both modes are
+        #: cycle-identical (equivalence tests pin the trace
+        #: fingerprints); False keeps the per-cycle legacy loop.
         self.batched = True
 
         #: Observability (repro.obs): a TraceBus, or None (free default).
@@ -377,15 +402,18 @@ class LoadEngine:
             for _ in range(cls.connections):
                 # states iterate in scenario declaration order, which is
                 # fixed per scenario+seed; sorting would re-pin goldens.
-                state.conns.append(
-                    self._connect(  # f4t: noqa[F4T008]
-                        cls, rounds_left=cls.rounds or 0
-                    )
+                self._connect(  # f4t: noqa[F4T008]
+                    state, rounds_left=cls.rounds or 0
                 )
 
-    def _connect(self, cls: TrafficClass, rounds_left: int = 0) -> _Conn:
+    def _connect(self, state: _ClassState, rounds_left: int = 0) -> _Conn:
+        """Open a conn, append it to ``state.conns`` and mark it dirty."""
         tb = self.testbed
-        conn = _Conn(cls, rounds_left=rounds_left)
+        cls = state.cls
+        conn = _Conn(cls, rounds_left=rounds_left, seq=self._conn_seq)
+        self._conn_seq += 1
+        state.conns.append(conn)
+        state.mark(conn)
         conn.connect_s = tb.now_s
         conn.a_flow = tb.engine_a.connect(
             tb.engine_b.ip, self.scenario.server_port
@@ -393,7 +421,7 @@ class LoadEngine:
         client_port = tb.engine_a.flows[conn.a_flow].key.src_port
         self._awaiting_accept[client_port] = conn
         self._conn_of_a[conn.a_flow] = conn
-        self.states[cls.name].metrics.connections_opened += 1
+        state.metrics.connections_opened += 1
         if self.trace is not None:
             self.trace.emit(
                 tb.now_s * 1e12, "traffic", "load", "connect", conn.a_flow,
@@ -420,31 +448,28 @@ class LoadEngine:
     def _pump_quiet_cycle(self) -> Optional[int]:
         """Earliest cycle the next :meth:`_pump` call acts, or None.
 
-        The testbed's batched loop may only skip a pump call that is a
-        pure no-op.  A pump is a no-op exactly when nothing it touches
+        Asked right after each pump; the testbed's event loop skips
+        every pump before the returned cycle that no new host message
+        forces.  Such a pump is a no-op exactly when nothing it touches
         can move: no conn is dirty (every one is blocked on the engines
         and will be re-marked by an EngineMessage), no churn class can
         start a transaction, and none of the cycle-gated activities —
         audit checks, trace occupancy samples, schedule arrival
         releases — fires before the returned cycle.  Returning None
-        forbids skipping entirely (a conn may advance on the very next
-        call); accepts and host messages need no horizon because they
-        only appear through engine work, which the engines' own
-        horizons already bound.
+        asks for the very next pump (a conn may advance on it).
+        Accepts and host messages need no horizon: both are posted with
+        a ``msg_epoch`` bump, which the testbed watches.
         """
         if self.sweep_all_pumps:
             return None
         for state in self.states.values():
             cls = state.cls
-            if (
+            if state.dirty or (
                 cls.lifecycle == PER_REQUEST
                 and len(state.conns) < cls.connections
                 and self._churn_work(state)
             ):
                 return None
-            for conn in state.conns:
-                if conn.dirty:
-                    return None
         floor_c = self.testbed.cycle + 1
         best: Optional[int] = None
         if self._release_index < len(self.schedule):
@@ -512,7 +537,10 @@ class LoadEngine:
         popped: the host-queue occupancy samples
         (``obs.hooks.sample_occupancy``) are part of the trace-stream
         contract, and a host runtime sharing the engine remains free to
-        drain its own messages (a shrunk queue just resets the cursor).
+        drain its own messages.  Its drains are counted by the engine
+        (``host_drains``); once that count moves, messages may have been
+        taken before this scan saw them, so every conn is re-marked and
+        the queues are rescanned from the start.
         """
         unknown = False
         cursors = self._msg_cursors
@@ -526,17 +554,19 @@ class LoadEngine:
             if engine.msg_epoch == self._msg_epochs[side]:
                 continue
             self._msg_epochs[side] = engine.msg_epoch
+            drained = engine.host_drains != self._msg_drains[side]
+            if drained:
+                self._msg_drains[side] = engine.host_drains
+                unknown = True
             for thread_id, queue in engine.host_messages.items():
                 key = (side, thread_id)
-                start = cursors.get(key, 0)
+                start = 0 if drained else cursors.get(key, 0)
                 size = len(queue)
-                if start > size:
-                    start = 0  # someone drained the queue; rescan
                 for i in range(start, size):
                     message = queue[i]
                     conn = conn_map.get(message.flow_id)
                     if conn is not None:
-                        conn.dirty = True
+                        self.states[conn.cls.name].mark(conn)
                     elif message.kind != "accepted":
                         # A flow we can't map (shouldn't happen: accepts
                         # are mapped by _poll_accepts before this runs).
@@ -549,8 +579,7 @@ class LoadEngine:
 
     def _mark_all_dirty(self) -> None:
         for state in self.states.values():
-            for conn in state.conns:
-                conn.dirty = True
+            state.mark_all()
 
     def _poll_accepts(self) -> None:
         engine_b = self.testbed.engine_b
@@ -565,7 +594,7 @@ class LoadEngine:
             if conn is not None:
                 conn.b_flow = b_flow
                 self._conn_of_b[b_flow] = conn
-                conn.dirty = True
+                self.states[conn.cls.name].mark(conn)
 
     def _release_arrivals(self) -> None:
         now = self.testbed.now_s
@@ -579,8 +608,7 @@ class LoadEngine:
             state.pending.append(request)
             if state.cls.lifecycle != PER_REQUEST:
                 # A pooled conn may be idle-clean waiting for work.
-                for conn in state.conns:
-                    conn.dirty = True
+                state.mark_all()
             if self.trace is not None:
                 self.trace.emit(
                     now * 1e12, "traffic", "load", "arrival", -1,
@@ -599,38 +627,37 @@ class LoadEngine:
                     state.churn_left -= 1
                     request = self._closed_loop_request(state)
                     self._outstanding += 1
-                conn = self._connect(cls, rounds_left=0)
+                conn = self._connect(state, rounds_left=0)
                 conn.current = request
                 conn.arrival_s = (
                     self._start_s + request.time_s
                     if cls.open_loop
                     else self.testbed.now_s
                 )
-                state.conns.append(conn)
-        conns = state.conns
-        if not conns:
-            return
-        for conn in conns:
-            if conn.dirty:
-                break
-        else:
+        dirty = state.dirty
+        if not dirty:
             return  # whole class blocked on the engines; nothing to do
-        for conn in list(conns):
-            if not conn.dirty:
-                continue
+        # The walk visits the dirty conns in conns order, as a walk of
+        # every conn that skips the clean ones would.
+        if len(dirty) > 1:
+            dirty.sort(key=attrgetter("seq"))
+        still: List[_Conn] = []
+        for conn in dirty:
             before = _conn_snapshot(conn)
             self._advance_conn(state, conn)
             if conn.state == _DONE:
-                conns.remove(conn)
+                state.conns.remove(conn)
                 if conn.a_flow is not None:
                     self._conn_of_a.pop(conn.a_flow, None)
                 if conn.b_flow is not None:
                     self._conn_of_b.pop(conn.b_flow, None)
-                continue
-            if _conn_snapshot(conn) == before:
+            elif _conn_snapshot(conn) == before:
                 # No forward progress: the conn is blocked on the engines
                 # and an EngineMessage will re-mark it when that changes.
                 conn.dirty = False
+            else:
+                still.append(conn)
+        state.dirty = still
 
     def _churn_work(self, state: _ClassState) -> bool:
         if state.cls.open_loop:
@@ -834,6 +861,7 @@ class LoadEngine:
             },
             frames_dropped=self.testbed.wire.frames_dropped,
             violations=violations,
+            work=dict(getattr(self.testbed, "work", {})),
         )
 
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tcp.cuckoo import CuckooHashTable
+from repro.tcp.cuckoo import CuckooFullError, CuckooHashTable, _fnv1a, _key_bytes
 from repro.tcp.segment import FlowKey
 
 
@@ -112,3 +112,90 @@ class TestModelBased:
             table.insert(key, key)
         assert len(table) == len(keys)
         assert all(table.get(key) == key for key in keys)
+
+
+class _Unmemoized(CuckooHashTable):
+    """The table as it was before bucket memoization: hash every probe."""
+
+    def _indices(self, key):
+        data = _key_bytes(key)
+        return (
+            _fnv1a(data, seed=0x9E3779B9) % self._table_size,
+            _fnv1a(data, seed=0x9E3779B9 * 2) % self._table_size,
+        )
+
+
+def _state(table):
+    return (
+        [list(t) for t in table._tables], dict(table._stash), table.metrics()
+    )
+
+
+_keys = st.one_of(
+    st.integers(min_value=0, max_value=60),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.text(max_size=3),
+)
+
+
+class TestBucketMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["insert", "remove", "get"]), _keys),
+            max_size=200,
+        )
+    )
+    def test_memoized_indices_are_the_fnv_indices(self, operations):
+        """Across inserts, removes and reinserts, a stored key's memo is
+        its FNV-1a bucket pair and a removed key's memo is gone."""
+        table = CuckooHashTable(64)
+        stored = set()
+        for op, key in operations:
+            if op == "insert":
+                try:
+                    table.insert(key, 1)
+                    stored.add(key)
+                except CuckooFullError:
+                    pass
+            elif op == "remove":
+                table.remove(key)
+                stored.discard(key)
+            else:
+                table.get(key)
+            assert set(table._buckets) == stored
+        size = table._table_size
+        for key in stored:
+            data = _key_bytes(key)
+            assert table._buckets[key] == (
+                _fnv1a(data, seed=0x9E3779B9) % size,
+                _fnv1a(data, seed=0x9E3779B9 * 2) % size,
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["insert", "remove"]), _keys),
+            max_size=300,
+        )
+    )
+    def test_kicks_and_stash_unchanged(self, operations):
+        """A small table under churn kicks, stashes and overflows; every
+        slot, stash entry and counter matches the unmemoized table."""
+        tables = [CuckooHashTable(16), _Unmemoized(16)]
+        for op, key in operations:
+            outcomes = []
+            for table in tables:
+                try:
+                    if op == "insert":
+                        outcomes.append(table.insert(key, 2))
+                    else:
+                        outcomes.append(table.remove(key))
+                except CuckooFullError:
+                    outcomes.append("full")
+            assert outcomes[0] == outcomes[1]
+            assert _state(tables[0]) == _state(tables[1])
+
+    def test_lookup_of_an_unstored_key_still_validates_it(self):
+        with pytest.raises(TypeError):
+            CuckooHashTable(16).get(object())

@@ -1,19 +1,23 @@
 """Property test: the batched testbed loop is invisible to traces.
 
 ``LoadEngine.batched`` selects between the per-cycle legacy loop and
-the batched one (``Testbed.run``'s ``quiet_cycle`` skip path plus
-``FtEngine.advance_cycles``).  The batched path may only collapse
+the batched one (``Testbed.run``'s next-event loop, selected by its
+``quiet_cycle`` hook).  The batched path may only collapse
 iterations it can prove are no-ops, so for ANY scenario and seed the
 obs trace fingerprint — every event at every layer, timestamped to the
 picosecond — must be bit-identical between the two.  Hypothesis
 composes small randomized scenarios (open/closed loop, persistent and
 churn lifecycles, skewed sizes, optional wire drops so timers and
-retransmissions run) and diffs the fingerprints, the same
-oracle-not-examples idiom as ``tests/mem/test_fuzz_churn.py``.
+retransmissions run, optionally a small engine whose few SRAM slots
+force TCB evictions, swap-ins and pending retries) and diffs the
+fingerprints, the same oracle-not-examples idiom as
+``tests/mem/test_fuzz_churn.py``.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine.ftengine import FtEngineConfig
+from repro.engine.testbed import Testbed
 from repro.obs.hooks import attach_load_engine
 from repro.obs.trace import TraceBus, fingerprint
 from repro.traffic import (
@@ -87,8 +91,18 @@ def scenarios(draw):
     )
 
 
-def _traced_fingerprint(scenario, batched):
-    load_engine = LoadEngine(scenario)
+#: Engine configs a drawn run uses: the default, or one with so few
+#: SRAM slots that a handful of connections migrate TCBs to DRAM.
+ENGINES = [None, FtEngineConfig(num_fpcs=2, fpc_slots=1)]
+
+
+def _traced_fingerprint(scenario, batched, engine=None):
+    testbed = None
+    if engine is not None:
+        testbed = Testbed(
+            config_a=engine, config_b=engine, wire=scenario.build_wire()
+        )
+    load_engine = LoadEngine(scenario, testbed=testbed)
     load_engine.batched = batched
     bus = TraceBus()
     attach_load_engine(load_engine, bus)
@@ -110,10 +124,10 @@ class TestBatchedLegacyEquivalence:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(scenario=scenarios())
-    def test_fingerprints_identical(self, scenario):
-        assert _traced_fingerprint(scenario, batched=True) == \
-            _traced_fingerprint(scenario, batched=False)
+    @given(scenario=scenarios(), engine=st.sampled_from(ENGINES))
+    def test_fingerprints_identical(self, scenario, engine):
+        assert _traced_fingerprint(scenario, True, engine) == \
+            _traced_fingerprint(scenario, False, engine)
 
     def test_batched_is_the_default(self):
         from repro.traffic import get_scenario

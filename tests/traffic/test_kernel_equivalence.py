@@ -16,7 +16,7 @@ re-capture the constants in the same change and say why.
 from repro.obs.hooks import attach_load_engine
 from repro.obs.trace import TraceBus, fingerprint
 from repro.traffic import get_scenario
-from repro.traffic.engine import LoadEngine
+from repro.traffic.engine import LoadEngine, _Conn
 
 #: Captured on the pre-PR-5 kernel (float time, exhaustive pump).
 GOLDEN = {
@@ -74,3 +74,31 @@ class TestDirtySetBookkeeping:
             for thread_id, queue in engine.host_messages.items():
                 cursor = load_engine._msg_cursors.get((side, thread_id), 0)
                 assert cursor == len(queue)
+
+    def test_external_drain_does_not_hide_later_messages(self):
+        """A host runtime may drain an engine's queue between two scans.
+
+        Here it takes 5 scanned messages and 7 new ones arrive before
+        the next scan; a cursor left at 5 would read only the last two
+        and leave the conns behind the first five clean, stalled.
+        """
+        load_engine = LoadEngine(get_scenario("churn", seed=7))
+        engine = load_engine.testbed.engine_a
+        state = next(iter(load_engine.states.values()))
+        conns = [_Conn(state.cls, seq=i) for i in range(12)]
+        for flow_id, conn in enumerate(conns, start=100):
+            state.conns.append(conn)
+            load_engine._conn_of_a[flow_id] = conn
+        for flow_id in range(100, 105):
+            engine._post_message("acked", flow_id)
+        load_engine._drain_host_messages()
+        assert [conn.dirty for conn in conns] == [True] * 5 + [False] * 7
+        for conn in conns:
+            conn.dirty = False
+        state.dirty = []
+
+        assert len(engine.drain_host_messages()) == 5
+        for flow_id in range(105, 112):
+            engine._post_message("acked", flow_id)
+        load_engine._drain_host_messages()
+        assert all(conn.dirty for conn in conns[5:])
