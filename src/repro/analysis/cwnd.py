@@ -116,12 +116,6 @@ class TraceComparison:
     engine_decreases: int
     reference_decreases: int
 
-    @property
-    def decrease_counts_match(self) -> bool:
-        """Both traces show the same number of multiplicative decreases
-        (within one event — boundary sampling can clip one)."""
-        return abs(self.engine_decreases - self.reference_decreases) <= 1
-
 
 def count_multiplicative_decreases(values: List[int], threshold: float = 0.25) -> int:
     """Count drops of >= ``threshold`` fraction between adjacent samples.

@@ -5,7 +5,6 @@ from .iperf import BulkResult, BulkTransferModel, run_functional_bulk
 from .nginx import (
     HTTP_RESPONSE,
     NginxPerformanceModel,
-    NginxServer,
     RESPONSE_BYTES,
     http_get,
     simulate_closed_loop,
@@ -21,7 +20,6 @@ __all__ = [
     "EchoModel",
     "HTTP_RESPONSE",
     "NginxPerformanceModel",
-    "NginxServer",
     "RESPONSE_BYTES",
     "RoundRobinModel",
     "WrkResult",

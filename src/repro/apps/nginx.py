@@ -1,10 +1,8 @@
 """Nginx web-server workload (§5.2, Figs 1, 10, 11, 12).
 
-Three faces:
+Two faces, plus the 256 B response (HTTP header + HTML payload, §5.2)
+and request that the functional wrk run frames by size:
 
-* :class:`NginxServer` — a small functional HTTP-ish server running on
-  the F4T socket library, serving 256 B responses (HTTP header + HTML
-  payload, §5.2) over real engine connections;
 * :class:`NginxPerformanceModel` — per-request CPU budgets for Linux and
   F4T, reproducing the Fig 1a/Fig 11 cycle breakdowns and the Fig 10
   2.6–2.8x request-rate gap;
@@ -20,7 +18,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from ..host.calibration import (
     HOST_CPU_FREQ_HZ,
@@ -32,7 +30,6 @@ from ..host.calibration import (
     NGINX_LINUX_TCP_FRACTION,
 )
 from ..host.cpu import CpuModel, CycleAccount
-from ..host.library import F4TLibrary, F4TSocket
 from ..sim.stats import Histogram
 
 #: The evaluation's response: 256 B including HTTP header and HTML
@@ -46,50 +43,6 @@ HTTP_RESPONSE = (
     b"\r\n" + b"<html><body>" + b"x" * (170 - 26) + b"</body></html>"
 )
 assert len(HTTP_RESPONSE) == RESPONSE_BYTES, len(HTTP_RESPONSE)
-
-
-class NginxServer:
-    """A functional epoll-driven web server on the F4T socket library."""
-
-    def __init__(self, library: F4TLibrary, port: int = 80) -> None:
-        self.library = library
-        self.port = port
-        self.listener = library.socket()
-        self.listener.bind_listen(port)
-        self.connections: List[F4TSocket] = []
-        self.requests_served = 0
-
-    def poll_accept(self) -> Optional[F4TSocket]:
-        """Non-blocking accept of one pending connection."""
-        flow = self.library.engine.accept(self.port)
-        if flow is None:
-            return None
-        sock = self.library.socket()
-        sock.connected = True
-        self.library._bind(sock, flow)
-        self.connections.append(sock)
-        return sock
-
-    def serve_ready(self) -> int:
-        """Serve every connection with a complete request buffered."""
-        served = 0
-        self.poll_accept()
-        for sock in list(self.connections):
-            if sock.flow_id is None:
-                continue
-            readable = self.library.engine.readable(sock.flow_id)
-            if readable <= 0:
-                continue
-            request = self.library.runtime.recv(sock.flow_id, readable)
-            self.library.runtime.flush()
-            if b"\r\n\r\n" not in request:
-                continue  # incomplete request; wait for the rest
-            sent = self.library.runtime.send(sock.flow_id, HTTP_RESPONSE)
-            self.library.runtime.flush()
-            if sent:
-                served += 1
-                self.requests_served += 1
-        return served
 
 
 def http_get(path: str = "/index.html") -> bytes:

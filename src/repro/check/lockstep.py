@@ -14,7 +14,10 @@ properties the merged-fingerprint golden can only *diff*, not explain:
    the ``(arrival_ps, src, seq)`` heap keys.  The shadow re-sort check
    verifies the pending heap's invariant over those keys, and the
    admission hooks verify the keys actually pop in nondecreasing order
-   (both at the cell's settle loop and at the switch the packets feed).
+   (both at the cell's epoch-open batch admission and at the switch the
+   packets feed).  Because that batch admits a whole epoch's arrivals
+   at once, a locally routed segment must land at or after the end of
+   the epoch that sent it.
 3. **Order-invariant digest merge** — per-cell streaming fingerprints
    merge into one run digest keyed by cell index; the merge hook
    verifies the parts are complete and in cell order however workers
@@ -73,7 +76,7 @@ class LockstepSanitizer:
         self._counts: Dict[str, int] = {"checks": 0, "dropped": 0}
         #: Shared epoch cursor, advanced by the runner's barrier loop.
         self._epoch: Dict[str, int] = {"index": 0, "boundary_ps": 0}
-        #: cell -> last key admitted by the settle loop.
+        #: cell -> last key admitted by the epoch-open batch.
         self._last_admit: Dict[int, Key] = {}
         #: cell -> last arrival instant fed to the cell switch.
         self._last_switch: Dict[int, int] = {}
@@ -150,16 +153,25 @@ class LockstepSanitizer:
         self._epoch["boundary_ps"] = boundary_ps
 
     # ----------------------------------------------------------- cell hooks
-    def on_route_local(self, entry: Sequence, now_ps: int) -> None:
-        """A packet routed into this cell's own pending inbox."""
+    def on_route_local(
+        self, entry: Sequence, now_ps: int, end_ps: int
+    ) -> None:
+        """A packet routed into this cell's own pending inbox.
+
+        The cell admits each epoch's arrivals in one batch when the
+        epoch opens, so a locally routed segment must arrive at or
+        after the end of the epoch that sent it (``end_ps``); one
+        arriving earlier would be missed by that batch.
+        """
         self._counts["checks"] += 1
         arrival = entry[0]
-        if arrival < now_ps:
+        if arrival < end_ps:
             self._emit(
                 "straggler", now_ps, _call_site(),
                 f"locally routed segment (src={entry[1]}, seq={entry[2]}) "
-                f"arrives at {arrival}ps, before the cell's current "
-                f"instant {now_ps}ps",
+                f"arrives at {arrival}ps, before the end of the epoch "
+                f"that sent it ({end_ps}ps); that epoch's admissions "
+                "were already batched at its open",
             )
         self._note_key(tuple(entry[:3]), now_ps, _call_site())
 
@@ -228,8 +240,9 @@ class LockstepSanitizer:
                 )
 
     def on_admit(self, key: Sequence, now_ps: int) -> None:
-        """Settle-loop pop: keys must leave the heap in nondecreasing
-        order — the admission sequence the fingerprint depends on."""
+        """Batch-admission pop: keys must leave the heap in
+        nondecreasing order — the admission sequence the fingerprint
+        depends on."""
         self._counts["checks"] += 1
         admitted = tuple(key[:3])
         last = self._last_admit.get(self.cell)

@@ -525,6 +525,9 @@ class FabricLoadEngine:
                     ticked[i] = touched[i] = True
                     work["host_ticks"] += 1
                     stack.tick()
+                    # The driver polls flow state and reads no messages;
+                    # drop them so the queue does not grow for the run.
+                    stack.drain_host_messages()
             if until():
                 return True
             if t >= max_time_ps:

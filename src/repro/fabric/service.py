@@ -74,10 +74,6 @@ class ServiceModel:
         self._lane_free_ps[lane] = start + self.occupancy_ps(payload_bytes)
         return start + self.latency_ps
 
-    def rx_delay_ps(self, payload_bytes: int) -> int:
-        """Ingress processing before the app-visible state changes."""
-        return self.latency_ps
-
     def describe(self) -> str:
         return (
             f"{self.name}: {self.lanes} lane(s), "

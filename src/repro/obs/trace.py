@@ -131,9 +131,6 @@ class TraceBus:
     def enabled(self, layer: str) -> bool:
         return layer in self.layers
 
-    def wants_flow(self, flow_id: int) -> bool:
-        return self.flows is None or flow_id in self.flows
-
     # --------------------------------------------------------------- emit
     def emit(
         self,
@@ -174,9 +171,6 @@ class TraceBus:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def events_for_flow(self, flow_id: int) -> List[TraceEvent]:
-        return [event for event in self._events if event.flow_id == flow_id]
 
     def count(self, kind: Optional[str] = None, layer: Optional[str] = None) -> int:
         return sum(

@@ -4,8 +4,10 @@ A :class:`CellSim` owns a fixed group of hosts — each a
 :class:`~repro.fabric.softstack.SoftStack` behind a
 :class:`~repro.fabric.switch.ShardPort` — plus the
 :class:`~repro.fabric.switch.CellSwitch` slice that resolves their
-receive-side contention.  Between epoch barriers it runs an ordinary
-discrete-event loop; packets leaving for another cell accumulate in
+receive-side contention.  Between epoch barriers it runs an
+event-gated discrete-event loop: the epoch's arrivals are admitted at
+epoch open, and each visited instant touches only the hosts and drivers
+with work due.  Packets leaving for another cell accumulate in
 per-destination outboxes that the runner exchanges at the barrier.
 
 The worker-count-invariance keystone lives here: **every** inter-host
@@ -29,7 +31,7 @@ from ..obs.trace import StreamingFingerprint
 from ..check.lockstep import LockstepSanitizer
 from ..fabric.backend import get_backend
 from ..fabric.softstack import FabricPacket, SoftStack
-from ..fabric.switch import CellSwitch
+from ..fabric.switch import NEVER, CellSwitch
 from .host import ClientPairDriver, ServerHostDriver
 from .scenarios import ShardScenario
 
@@ -80,6 +82,10 @@ class CellSim:
             host: [] for host in self.hosts
         }
         self.servers: Dict[int, ServerHostDriver] = {}
+        #: Per host: live client flow id -> the driver that opened it.
+        owners: Dict[int, Dict[int, ClientPairDriver]] = {
+            host: {} for host in self.hosts
+        }
         server_pairs: Dict[int, List] = {}
         for pair in scenario.pairs:
             if scenario.cell_of(pair.client) == cell:
@@ -89,6 +95,7 @@ class CellSim:
                         pair,
                         self.stacks[pair.client],
                         server_ip=self.switch.host_ip(pair.server),
+                        owners=owners[pair.client],
                         trace=trace,
                     )
                 )
@@ -110,7 +117,33 @@ class CellSim:
             c: [] for c in range(scenario.num_cells) if c != cell
         }
         self.now_ps = 0
-        self.events = 0
+        #: End of the epoch being run (the batch-admission horizon).
+        self.end_ps = 0
+        # The event loop's per-host state, indexed like ``self.hosts``:
+        # drivers, client-flow owners and three cached horizons — the
+        # delivery-heap head, the stack's timer wakeup and the earliest
+        # client schedule head (NEVER when none) — plus their minimum,
+        # the instant the host next acts.  A new cell has nothing in
+        # flight or armed, so only the schedule heads start set; after
+        # that only run_epoch moves them.
+        self._stack_list = [self.stacks[host] for host in self.hosts]
+        self._server_list = [self.servers.get(host) for host in self.hosts]
+        self._client_list = [self.clients[host] for host in self.hosts]
+        self._owners = [owners[host] for host in self.hosts]
+        self._delivery_ps = [NEVER] * len(self.hosts)
+        self._timer_ps = [NEVER] * len(self.hosts)
+        self._schedule_ps = [
+            min(
+                (driver.schedule[0][0] for driver in drivers),
+                default=NEVER,
+            )
+            for drivers in self._client_list
+        ]
+        self._due_ps = list(self._schedule_ps)
+        #: Deterministic work counts, kept out of ``report()``.
+        self.work: Dict[str, int] = dict.fromkeys(
+            ("instants", "host_ticks", "driver_ticks", "batch_admissions"), 0
+        )
 
     # ------------------------------------------------------------- routing
     def _route(
@@ -123,7 +156,7 @@ class CellSim:
         dst_cell = self.scenario.cell_of(dst)
         if dst_cell == self.cell:
             if self.san is not None:
-                self.san.on_route_local(entry, self.now_ps)
+                self.san.on_route_local(entry, self.now_ps, self.end_ps)
             heapq.heappush(self.pending, entry)
         else:
             self.outboxes[dst_cell].append(entry)
@@ -147,91 +180,128 @@ class CellSim:
         return out
 
     # ---------------------------------------------------------- event loop
-    def _next_event_ps(self) -> Optional[int]:
-        best: Optional[int] = None
-        if self.pending:
-            best = self.pending[0][0]
-        delivery = self.switch.next_any_delivery_ps()
-        if delivery is not None and (best is None or delivery < best):
-            best = delivery
-        for host in self.hosts:
-            wakeup = self.stacks[host].next_wakeup_ps()
-            if wakeup is not None and (best is None or wakeup < best):
-                best = wakeup
-            for driver in self.clients[host]:
-                action = driver.next_action_ps()
-                if action is not None and (best is None or action < best):
-                    best = action
-        return best
+    def _admit_batch(self, end_ps: int) -> None:
+        """Epoch open: admit every pending segment arriving before
+        ``end_ps``, in key order.
 
-    def _settle(self, now: int) -> None:
-        """Process everything due at one instant, in canonical order:
-        admissions, stack ticks, driver ticks, message dispatch."""
+        Exact because nothing routed during the epoch can arrive inside
+        it (``epoch_ps`` is one propagation delay, so a send at ``t``
+        lands at ``>= t + epoch_ps``), and an admission fixes its
+        delivery instant on the spot, strictly after its arrival.
+        """
         pending = self.pending
-        while pending and pending[0][0] <= now:
+        admitted = 0
+        while pending and pending[0][0] < end_ps:
             entry = heapq.heappop(pending)
             if self.san is not None:
-                self.san.on_admit(entry, now)
-            arrival, _src, _seq, packet = entry
-            self.switch.admit(packet, arrival)
-        for host in self.hosts:
-            stack = self.stacks[host]
-            stack.now_ps = now
-            stack.tick()
-        for host in self.hosts:
-            server = self.servers.get(host)
-            if server is not None:
-                server.tick(now)
-            for driver in self.clients[host]:
-                driver.tick(now)
-        for host in self.hosts:
-            stack = self.stacks[host]
-            messages = stack.drain_host_messages()
-            if not messages:
-                continue
-            clients = self.clients[host]
-            server = self.servers.get(host)
-            for message in messages:
-                owner = None
-                for driver in clients:
-                    if message.flow_id in driver.conns:
-                        owner = driver
-                        break
-                if owner is not None:
-                    owner.on_message(message, now)
-                elif server is not None:
-                    server.on_message(message, now)
+                self.san.on_admit(entry, self.now_ps)
+            self.switch.admit(entry[3], entry[0])
+            admitted += 1
+        if not admitted:
+            return
+        self.work["batch_admissions"] += admitted
+        # Admissions only push, so a delivery head can only move earlier.
+        delivery, due = self._delivery_ps, self._due_ps
+        for i, host in enumerate(self.hosts):
+            head = self.switch.next_delivery_ps(host)
+            if head is not None and head < delivery[i]:
+                delivery[i] = head
+                if head < due[i]:
+                    due[i] = head
 
     def run_epoch(self, end_ps: int) -> None:
-        """Run every event strictly before ``end_ps``, then land on it."""
+        """Run every event strictly before ``end_ps``, then land on it.
+
+        Each visited instant is processed in canonical order — stack
+        ticks, then drivers, then message dispatch, each phase in host
+        order — skipping every host with nothing due (see
+        ARCHITECTURE.md, *The shard cell event loop*).
+        """
         if self.san is not None:
             self.san.on_epoch_open(self.pending, self.now_ps)
+        self.end_ps = end_ps
+        self._admit_batch(end_ps)
+        hosts, stacks = self.hosts, self._stack_list
+        servers, clients = self._server_list, self._client_list
+        due, delivery = self._due_ps, self._delivery_ps
+        timer, schedule = self._timer_ps, self._schedule_ps
+        heads = self.switch.next_delivery_ps
+        span = range(len(hosts))
+        instants = host_ticks = driver_ticks = 0
         while True:
-            t = self._next_event_ps()
-            if t is None or t >= end_ps:
+            now = min(due)
+            if now >= end_ps:
                 break
-            if t < self.now_ps:
-                t = self.now_ps  # stale-early timer entries re-index here
-            self.now_ps = t
-            self.events += 1
-            self._settle(t)
+            if now < self.now_ps:
+                now = self.now_ps  # overdue work (a straggler) acts now
+            self.now_ps = now
+            instants += 1
+            acted = [i for i in span if due[i] <= now]
+            ticked = []
+            for i in acted:
+                stack = stacks[i]
+                # Every acting host reads ``now`` before any API call.
+                stack.now_ps = now
+                if delivery[i] <= now or timer[i] <= now:
+                    stack.tick()
+                    ticked.append(i)
+            host_ticks += len(ticked)
+            for i in acted:
+                # Accept queues fill only inside a tick.
+                server = servers[i]
+                if server is not None and i in ticked:
+                    server.tick(now)
+                    driver_ticks += 1
+                if schedule[i] <= now:
+                    best = NEVER
+                    for driver in clients[i]:
+                        action = driver.next_action_ps()
+                        if action is not None and action <= now:
+                            driver.tick(now)
+                            driver_ticks += 1
+                            action = driver.next_action_ps()
+                        if action is not None and action < best:
+                            best = action
+                    schedule[i] = best
+            # Messages are posted only inside a tick.
+            for i in ticked:
+                messages = stacks[i].drain_host_messages()
+                if not messages:
+                    continue
+                owners, server = self._owners[i], servers[i]
+                for message in messages:
+                    owner = owners.get(message.flow_id)
+                    if owner is not None:
+                        owner.on_message(message, now)
+                    elif server is not None:
+                        server.on_message(message, now)
+            # Only a host that acted can have moved its horizons.
+            for i in acted:
+                head = heads(hosts[i])
+                wakeup = stacks[i].next_wakeup_ps()
+                delivery[i] = NEVER if head is None else head
+                timer[i] = NEVER if wakeup is None else wakeup
+                due[i] = min(delivery[i], timer[i], schedule[i])
+        work = self.work
+        work["instants"] += instants
+        work["host_ticks"] += host_ticks
+        work["driver_ticks"] += driver_ticks
         self.now_ps = end_ps
+
+    @property
+    def events(self) -> int:
+        """Instants the loop visited (the ``events`` report counter)."""
+        return self.work["instants"]
 
     # ----------------------------------------------------------- the gauges
     def idle(self) -> bool:
         """Nothing pending, in flight, armed or scheduled — this cell
         cannot act again without a barrier delivering it input."""
-        if self.pending:
+        if self.pending or min(self._due_ps) < NEVER:
             return False
-        if self.switch.next_any_delivery_ps() is not None:
-            return False
-        for host in self.hosts:
-            if self.stacks[host].next_wakeup_ps() is not None:
-                return False
-            for driver in self.clients[host]:
-                if not driver.done:
-                    return False
-        return True
+        return all(
+            driver.done for drivers in self._client_list for driver in drivers
+        )
 
     def open_conns(self) -> int:
         """Live client-side connections (the concurrency gauge; server

@@ -52,6 +52,7 @@ class ClientPairDriver:
         pair: ShardPair,
         stack: SoftStack,
         server_ip: int,
+        owners: Dict[int, "ClientPairDriver"],
         trace: Optional[StreamingFingerprint] = None,
     ) -> None:
         self.pair = pair
@@ -64,6 +65,9 @@ class ClientPairDriver:
         self.trace_name = f"pair{pair.client}->{pair.server}"
         self._next = 0
         self.conns: Dict[int, _ClientConn] = {}
+        #: Live flow id -> driver, shared by every client driver on one
+        #: host: the cell routes host messages through it.
+        self.owners = owners
         self.opened = 0
         self.established = 0
         self.completed = 0
@@ -94,6 +98,7 @@ class ClientPairDriver:
             conn = _ClientConn()
             conn.resp_remaining = resp
             self.conns[flow_id] = conn
+            self.owners[flow_id] = self
             self._next += 1
             self.opened += 1
             self._unsettled += 1
@@ -105,6 +110,7 @@ class ClientPairDriver:
 
     def _settle(self, flow_id: int) -> None:
         del self.conns[flow_id]
+        del self.owners[flow_id]
         self._unsettled -= 1
 
     def on_message(self, message: EngineMessage, now_ps: int) -> None:
@@ -192,9 +198,6 @@ class ServerHostDriver:
         self.accepted = 0
         self.responded = 0
         self.closed = 0
-
-    def next_action_ps(self) -> Optional[int]:
-        return None  # purely reactive
 
     def tick(self, now_ps: int) -> None:
         while True:

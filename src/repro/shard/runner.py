@@ -54,6 +54,9 @@ class CellReport:
     cell: int
     fingerprint: Optional[str]
     counters: Dict[str, int] = field(default_factory=dict)
+    #: Deterministic loop work (``CellSim.work``); kept out of
+    #: ``counters`` so comparing behaviour ignores how it was computed.
+    work: Dict[str, int] = field(default_factory=dict)
 
     def get(self, key: str) -> int:
         return int(self.counters.get(key, 0))
@@ -81,6 +84,15 @@ class ShardResult:
 
     def total(self, key: str) -> int:
         return sum(report.get(key) for report in self.cells)
+
+    @property
+    def work(self) -> Dict[str, int]:
+        """Per-cell loop work counts summed over cells."""
+        totals: Dict[str, int] = {}
+        for report in self.cells:
+            for key, value in report.work.items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
 
     def summary(self) -> str:
         lines = [
@@ -128,11 +140,13 @@ class ShardResult:
                     "timeouts", "ecn_echoes", "events",
                 )
             },
+            "work": self.work,
             "cells": [
                 {
                     "cell": report.cell,
                     "fingerprint": report.fingerprint,
                     **report.counters,
+                    "work": report.work,
                 }
                 for report in self.cells
             ],
@@ -145,7 +159,10 @@ def _rss_kb() -> int:
 
 def _cell_report(sim: CellSim) -> CellReport:
     fp = sim.trace.hexdigest() if sim.trace is not None else None
-    return CellReport(cell=sim.cell, fingerprint=fp, counters=sim.report())
+    return CellReport(
+        cell=sim.cell, fingerprint=fp, counters=sim.report(),
+        work=dict(sim.work),
+    )
 
 
 def _merged(

@@ -185,12 +185,6 @@ class Scenario:
             for cell in range(cells)
         ]
 
-    def offered_bytes(self, load_scale: float = 1.0) -> int:
-        return sum(
-            r.request_bytes + r.response_bytes
-            for r in self.schedule(load_scale)
-        )
-
     def build_wire(self) -> Optional[Wire]:
         if self.impairments is None:
             return None

@@ -51,6 +51,33 @@ class TestDelayedCrossCellSegment:
         sim.receive([on_time])
         assert san.ok, san.report()
 
+    def test_local_segment_inside_its_epoch_detected(self):
+        """Epoch-open batch admission needs every locally routed
+        segment to land at or after the end of the epoch that sent it.
+        One landing inside the epoch — still in the cell's future, so
+        the old arrival-before-now check passed it — is flagged."""
+        scenario = get_shard_scenario("churn")
+        san = LockstepSanitizer()
+        sim = CellSim(scenario, 0, san=san)
+        sim.now_ps = 1_000
+        sim.end_ps = scenario.epoch_ps
+        inside = make_packet(dst_ip=sim.switch.host_ip(1))
+        sim._route(scenario.epoch_ps - 1, 0, 1, inside)
+        assert [f.kind for f in san.findings] == ["straggler"]
+        finding = san.findings[0]
+        assert "repro/shard/cell.py:" in finding.site
+        assert "before the end of the epoch" in finding.message
+        assert sim.pending  # the hook observes; routing went ahead
+
+    def test_local_segment_at_epoch_end_is_clean(self):
+        scenario = get_shard_scenario("churn")
+        san = LockstepSanitizer()
+        sim = CellSim(scenario, 0, san=san)
+        sim.end_ps = scenario.epoch_ps
+        on_time = make_packet(dst_ip=sim.switch.host_ip(1))
+        sim._route(scenario.epoch_ps, 0, 1, on_time)
+        assert san.ok, san.report()
+
     def test_duplicate_exchange_key_detected(self):
         """The same (arrival_ps, src, seq) key delivered twice — a
         runner bug double-shipping an outbox."""

@@ -83,3 +83,20 @@ class TestWorkCounters:
         result = run_fabric(get_fabric_scenario("incast", num_hosts=3))
         assert result.work["instants"] > 0
         assert not set(result.work) & set(result.scalars())
+
+
+class TestHostQueues:
+    def test_incast_leaves_no_host_messages(self):
+        """The fabric driver polls flow state and never reads its
+        stacks' host messages; it must discard them as it ticks, or
+        each queue grows for the length of the run."""
+        from repro.fabric.engine import FabricLoadEngine
+
+        engine = FabricLoadEngine(
+            get_fabric_scenario("incast", num_hosts=8, seed=1)
+        )
+        result = engine.run()
+        assert result.completed > 0
+        for stack in engine.stacks:
+            assert not stack.host_messages[0], stack.name
+            assert stack.host_drains > 0
